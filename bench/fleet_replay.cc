@@ -199,8 +199,8 @@ int Run(const FleetReplayConfig& config) {
               static_cast<unsigned long long>(alarms));
   std::printf("  samples rejected %llu (faults screened)\n",
               static_cast<unsigned long long>(rejected));
-  std::printf("  allocs/frame    %.1f (producer side; drain loop is "
-              "PW_NO_ALLOC)\n",
+  std::printf("  allocs/frame    %.1f (process-wide: producer, shard drain "
+              "threads and everything else)\n",
               allocs_per_frame);
 
   ReportResults results;

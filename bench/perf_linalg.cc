@@ -9,7 +9,6 @@
 #include "grid/ieee_cases.h"
 #include "linalg/lu.h"
 #include "linalg/qr.h"
-#include "linalg/sparse.h"
 #include "linalg/svd.h"
 
 namespace pw = phasorwatch;
@@ -102,27 +101,6 @@ void BM_DcSolveDenseLu(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DcSolveDenseLu)->Arg(30)->Arg(57)->Arg(118);
-
-void BM_DcSolveSparseCg(benchmark::State& state) {
-  auto grid = pw::grid::EvaluationSystem(static_cast<int>(state.range(0)));
-  if (!grid.ok()) {
-    state.SkipWithError("grid construction failed");
-    return;
-  }
-  Matrix lap = grid->BuildSusceptanceLaplacian();
-  std::vector<size_t> keep;
-  for (size_t i = 0; i < grid->num_buses(); ++i) {
-    if (i != grid->SlackBus()) keep.push_back(i);
-  }
-  pw::linalg::CsrMatrix sparse = pw::linalg::CsrMatrix::FromDense(
-      lap.SelectSubmatrix(keep, keep));
-  Vector b(keep.size(), 0.1);
-  for (auto _ : state) {
-    auto result = pw::linalg::ConjugateGradientSolve(sparse, b);
-    benchmark::DoNotOptimize(result.value().x);
-  }
-}
-BENCHMARK(BM_DcSolveSparseCg)->Arg(30)->Arg(57)->Arg(118);
 
 void BM_QrFactor(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

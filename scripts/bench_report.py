@@ -39,7 +39,6 @@ TOP_LEVEL = {
     "results": dict,
     "counters": dict,
     "gauges": dict,
-    "histograms": dict,
     "quantiles": dict,
 }
 
@@ -83,11 +82,9 @@ def validate_doc(doc, label):
     for key, value in doc["gauges"].items():
         if not isinstance(value, (int, float)):
             errors.append("%s: gauges[%r] is not numeric" % (label, key))
-    for section in ("histograms", "quantiles"):
-        for key, snap in doc[section].items():
-            if not isinstance(snap, dict) or "count" not in snap:
-                errors.append("%s: %s[%r] has no count" %
-                              (label, section, key))
+    for key, snap in doc["quantiles"].items():
+        if not isinstance(snap, dict) or "count" not in snap:
+            errors.append("%s: quantiles[%r] has no count" % (label, key))
     return errors
 
 
@@ -209,7 +206,6 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9):
         },
         "counters": {"stream.samples": 100},
         "gauges": {"stream.alarm_active": 0.0},
-        "histograms": {"detect.total_us": {"count": 100, "p50": 50.0}},
         "quantiles": {
             "stream.frame_us":
                 {"count": 100, "p50": 40.0, "p99": p99_14, "p999": p99_14},
@@ -231,6 +227,10 @@ def self_test():
     del broken["schema"]
     check("missing schema key is rejected",
           validate_doc(broken, "broken") != [])
+    legacy = _fixture(100.0)
+    legacy["histograms"] = {"detect.total_us": {"count": 100, "p50": 50.0}}
+    check("extra legacy histograms section is ignored",
+          validate_doc(legacy, "legacy") == [])
     mistyped = _fixture(100.0)
     mistyped["results"]["detect.ieee14.p99_us"]["value"] = "fast"
     check("non-numeric result value is rejected",

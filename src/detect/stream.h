@@ -62,21 +62,14 @@ class StreamingMonitor {
     return session_.ProcessFrame(frame);
   }
 
-  /// Feeds a block of samples (in stream order); see
-  /// TenantSession::ProcessBatch. Producer-thread only.
-  PW_NODISCARD Result<std::vector<StreamEvent>> ProcessBatch(
-      const std::vector<OutageDetector::BatchSample>& samples) {
-    return session_.ProcessBatch(samples);
-  }
-
   /// Safe to poll from any thread while the producer runs.
   bool alarm_active() const { return session_.alarm_active(); }
   /// Samples ingested since construction or the last Reset(), rejected
   /// ones included (each consumes one sample index). Safe to poll from
   /// any thread while the producer runs.
   uint64_t samples_processed() const { return session_.samples_processed(); }
-  /// Drops all debouncing/voting state and the batch-path memoization
-  /// (e.g. after operator ack). Producer-thread only.
+  /// Drops all debouncing/voting state (e.g. after operator ack).
+  /// Producer-thread only.
   void Reset() { session_.Reset(); }
 
   /// The underlying session, for callers migrating to the fleet API.

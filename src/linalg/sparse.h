@@ -194,26 +194,6 @@ class SparseLu {
   mutable std::vector<double> y_;
 };
 
-/// Options for the conjugate-gradient solver.
-struct CgOptions {
-  double tolerance = 1e-10;  ///< relative residual ||r|| / ||b||
-  size_t max_iterations = 0; ///< 0 = 4 * n
-};
-
-/// Result of a CG solve.
-struct CgResult {
-  Vector x;
-  size_t iterations = 0;
-  double relative_residual = 0.0;
-};
-
-/// Jacobi-preconditioned conjugate gradient for symmetric positive
-/// definite systems (the reduced DC susceptance Laplacian is SPD).
-/// Fails with kNotConverged when the residual does not reach tolerance
-/// and kInvalidArgument on shape mismatches or a non-positive diagonal.
-PW_NODISCARD Result<CgResult> ConjugateGradientSolve(
-    const CsrMatrix& a, const Vector& b, const CgOptions& options = {});
-
 }  // namespace phasorwatch::linalg
 
 #endif  // PHASORWATCH_LINALG_SPARSE_H_

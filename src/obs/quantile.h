@@ -20,9 +20,7 @@ namespace phasorwatch::obs {
 /// so any recorded value lands in a bucket whose width is at most
 /// 1/B of its lower bound. Reported quantiles are therefore accurate
 /// to a relative error of at most 100/B percent (6.25% at the default
-/// B = 16), independent of the value's magnitude — unlike the
-/// fixed-bucket obs::Histogram, whose tail resolution collapses to
-/// "somewhere in the overflow bucket".
+/// B = 16), independent of the value's magnitude.
 struct QuantileOptions {
   /// Lowest resolvable value; smaller observations land in the
   /// underflow bucket (reported as <= min).

@@ -72,20 +72,14 @@ double MonotonicNowUs();
 
 /// RAII wall-clock timer: on destruction records the elapsed time into
 /// the given instruments (microseconds) and appends a span to the
-/// global trace ring. Any instrument pointer may be null (skipped).
+/// global trace ring. Either instrument pointer may be null (skipped).
 /// Use via PW_TRACE_SCOPE below so disabled builds compile the whole
 /// thing out.
 class ScopedTimer {
  public:
-  ScopedTimer(Histogram* histogram, const char* name)
-      : ScopedTimer(histogram, nullptr, nullptr, name) {}
-
-  /// Full form: bucketed histogram, tail-accurate quantile histogram,
-  /// and a high-water gauge (each optional).
-  ScopedTimer(Histogram* histogram, QuantileHistogram* quantile,
-              Gauge* high_water, const char* name)
-      : histogram_(histogram),
-        quantile_(quantile),
+  ScopedTimer(QuantileHistogram* quantile, Gauge* high_water,
+              const char* name)
+      : quantile_(quantile),
         high_water_(high_water),
         name_(name),
         // The process epoch, not a raw time_point: the first span ever
@@ -99,8 +93,7 @@ class ScopedTimer {
   ~ScopedTimer();
 
  private:
-  // Instruments are not owned; any may be nullptr (ring-only span).
-  Histogram* histogram_;
+  // Instruments are not owned; either may be nullptr (ring-only span).
   QuantileHistogram* quantile_;
   Gauge* high_water_;
   const char* name_;
@@ -114,19 +107,13 @@ class ScopedTimer {
 
 #ifndef PW_OBS_DISABLED
 
-/// Times the enclosing scope into the latency histogram `name` (unit:
-/// microseconds, default buckets), the like-named quantile histogram
-/// (tail-accurate p99/p999 — obs/quantile.h), and the global trace
-/// ring. The instrument pointers are resolved once per call site.
+/// Times the enclosing scope into the quantile histogram `name` (unit:
+/// microseconds, tail-accurate p99/p999 — obs/quantile.h) and the
+/// global trace ring. The instrument pointer is resolved once per call
+/// site.
 #define PW_TRACE_SCOPE(name)                                              \
   ::phasorwatch::obs::ScopedTimer PW_OBS_CONCAT_(pw_trace_scope_,         \
                                                  __LINE__)(               \
-      [] {                                                                \
-        static ::phasorwatch::obs::Histogram* pw_trace_hist_ =            \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetHistogram(   \
-                name, ::phasorwatch::obs::DefaultLatencyBucketsUs());     \
-        return pw_trace_hist_;                                            \
-      }(),                                                                \
       [] {                                                                \
         static ::phasorwatch::obs::QuantileHistogram* pw_trace_quant_ =   \
             ::phasorwatch::obs::MetricsRegistry::Global().GetQuantile(    \
@@ -142,12 +129,6 @@ class ScopedTimer {
 #define PW_TRACE_SCOPE_HIGH_WATER(name)                                   \
   ::phasorwatch::obs::ScopedTimer PW_OBS_CONCAT_(pw_trace_scope_,         \
                                                  __LINE__)(               \
-      [] {                                                                \
-        static ::phasorwatch::obs::Histogram* pw_trace_hist_ =            \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetHistogram(   \
-                name, ::phasorwatch::obs::DefaultLatencyBucketsUs());     \
-        return pw_trace_hist_;                                            \
-      }(),                                                                \
       [] {                                                                \
         static ::phasorwatch::obs::QuantileHistogram* pw_trace_quant_ =   \
             ::phasorwatch::obs::MetricsRegistry::Global().GetQuantile(    \

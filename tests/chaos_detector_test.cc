@@ -177,38 +177,6 @@ TEST_F(ChaosDetectorTest, NonFiniteIsRejectedWhenScreeningDisabled) {
   EXPECT_TRUE(shared_->detector_noscreen->Detect(vm, va, mask).ok());
 }
 
-TEST_F(ChaosDetectorTest, BatchScreensIdenticallyToSingleSamples) {
-  // Exercises the DetectBatch fast path's group-selection cache, which
-  // must key on the *effective* (post-screen) mask: clean and spiked
-  // samples interleave, so reuse across equal effective masks and
-  // re-selection across different ones both occur.
-  const size_t num = shared_->grid.num_buses();
-  std::vector<linalg::Vector> vms, vas;
-  for (size_t t = 0; t < 6; ++t) {
-    auto [vm, va] = shared_->outage_test[1].Sample(t);
-    if (t == 1 || t == 2) vm[4] += 5.0;  // same node twice in a row
-    if (t == 4) va[9] += 4.0;
-    vms.push_back(std::move(vm));
-    vas.push_back(std::move(va));
-  }
-  sim::MissingMask none = sim::MissingMask::None(num);
-  std::vector<OutageDetector::BatchSample> batch;
-  for (size_t t = 0; t < vms.size(); ++t) {
-    batch.push_back({&vms[t], &vas[t], &none});
-  }
-  auto batched = shared_->detector->DetectBatch(batch);
-  ASSERT_TRUE(batched.ok());
-  ASSERT_EQ(batched->size(), vms.size());
-  for (size_t t = 0; t < vms.size(); ++t) {
-    auto single = shared_->detector->Detect(vms[t], vas[t]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*batched)[t].screened_nodes, single->screened_nodes);
-    EXPECT_EQ((*batched)[t].outage_detected, single->outage_detected);
-    EXPECT_EQ((*batched)[t].decision_score, single->decision_score);
-    EXPECT_EQ((*batched)[t].lines, single->lines);
-  }
-}
-
 TEST_F(ChaosDetectorTest, SeededChaosReplayNeverAborts) {
   // A kitchen-sink schedule over one outage block: every sample must
   // either produce a fully finite detection or fail with a tolerable

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "grid/ieee_cases.h"
+#include "obs/metrics.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -243,12 +244,22 @@ TEST_F(DetectorTest, SampleSizeMismatchRejected) {
 }
 
 TEST_F(DetectorTest, AllMeasurementsMissingRejected) {
+  const obs::Counter* rejected =
+      obs::MetricsRegistry::Global().GetCounter("detect.samples_rejected");
+  const uint64_t before = rejected->value();
   auto [vm, va] = shared_->normal_test.Sample(0);
   sim::MissingMask mask = sim::MissingMask::None(shared_->grid.num_buses());
   for (size_t i = 0; i < mask.size(); ++i) mask.missing[i] = true;
   auto result = shared_->detector->Detect(vm, va, mask);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataMissing);
+  // Every error return counts one rejection; an accepted sample none.
+  ASSERT_TRUE(shared_->detector->Detect(vm, va).ok());
+#ifndef PW_OBS_DISABLED
+  EXPECT_EQ(rejected->value(), before + 1);
+#else
+  EXPECT_EQ(rejected->value(), before);
+#endif
 }
 
 TEST_F(DetectorTest, ScoresArePerNodeAndFinite) {

@@ -274,22 +274,6 @@ TEST(ObsMacros, QuantileRecordAndGaugeMax) {
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->value(), 40.0);
 }
-
-TEST(ObsMacros, TraceScopeFeedsQuantileTwin) {
-  auto& reg = MetricsRegistry::Global();
-  reg.ResetAll();
-  for (int i = 0; i < 3; ++i) {
-    PW_TRACE_SCOPE("test.macro.twin_us");
-  }
-  // PW_TRACE_SCOPE feeds both the legacy fixed-bucket histogram and the
-  // like-named quantile histogram.
-  const Histogram* h = reg.FindHistogram("test.macro.twin_us");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->TakeSnapshot().count, 3u);
-  const QuantileHistogram* q = reg.FindQuantile("test.macro.twin_us");
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->TakeSnapshot().count, 3u);
-}
 #endif  // PW_OBS_DISABLED
 
 }  // namespace

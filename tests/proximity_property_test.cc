@@ -135,20 +135,18 @@ TEST_F(ProximityPropertyTest, TrainingMeanHasZeroProximityUnderAnyGroup) {
 TEST_F(ProximityPropertyTest, EvaluationIsDeterministicAcrossCaches) {
   ProximityEngine engine;
   ProximityEngine fresh_engine;
-  ProximityEngine::BatchCache batch_cache;
   Rng rng(4); // pw-lint: allow(rng-discipline) test-local stream
   for (size_t trial = 0; trial < 20; ++trial) {
     const auto& sample = shared_->samples[trial % shared_->samples.size()];
     auto group = RandomGroup(rng);
     auto first = engine.Evaluate(shared_->model, 1, sample, group);
     auto cached = engine.Evaluate(shared_->model, 1, sample, group);
-    auto batched =
-        fresh_engine.Evaluate(shared_->model, 1, sample, group, &batch_cache);
+    auto rebuilt = fresh_engine.Evaluate(shared_->model, 1, sample, group);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(batched.ok());
+    ASSERT_TRUE(rebuilt.ok());
     EXPECT_EQ(*first, *cached);   // shared-cache replay is bitwise stable
-    EXPECT_EQ(*first, *batched);  // batch-cache path computes identically
+    EXPECT_EQ(*first, *rebuilt);  // an independent cache computes identically
   }
 }
 

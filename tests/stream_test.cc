@@ -188,12 +188,12 @@ void ExpectSameEvent(const StreamEvent& a, const StreamEvent& b) {
   }
 }
 
-// Regression: Reset() must clear the batch-path memoization, not just
-// the debounce state. A monitor warmed via ProcessBatch, then Reset,
-// must behave exactly like a freshly constructed monitor on the same
-// subsequent stream (mixed ProcessBatch + Process, missing data and
-// all).
-TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
+// Regression: after Reset() a monitor must behave exactly like a
+// freshly constructed one. The reused monitor is first driven into an
+// alarm under a different availability pattern (missing data selects
+// different detection groups), so any state Reset leaves behind would
+// show in the events that follow.
+TEST_F(StreamTest, ResetMatchesFreshMonitor) {
   StreamOptions opts;
   opts.alarm_after = 2;
   opts.clear_after = 2;
@@ -204,20 +204,10 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
   sim::MissingMask missing =
       sim::MissingAtOutage(shared_->grid.num_buses(), outage.line);
 
-  // Warm the reused monitor's batch memo with a different availability
-  // pattern (missing data selects different detection groups) so stale
-  // memo state would be observable after Reset.
   StreamingMonitor reused(shared_->detector.get(), opts);
-  {
-    std::vector<std::pair<linalg::Vector, linalg::Vector>> warm;
-    for (size_t t = 0; t < 4; ++t) {
-      warm.push_back(outage.test.Sample(t % outage.test.num_samples()));
-    }
-    std::vector<OutageDetector::BatchSample> batch;
-    for (const auto& [vm, va] : warm) {
-      batch.push_back({&vm, &va, &missing});
-    }
-    ASSERT_TRUE(reused.ProcessBatch(batch).ok());
+  for (size_t t = 0; t < 4; ++t) {
+    auto [vm, va] = outage.test.Sample(t % outage.test.num_samples());
+    ASSERT_TRUE(reused.Process(vm, va, missing).ok());
   }
   EXPECT_GT(reused.samples_processed(), 0u);
   reused.Reset();
@@ -229,7 +219,7 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
   // Identical mixed stream into both; events must match bit for bit.
   std::vector<std::pair<linalg::Vector, linalg::Vector>> samples;
   std::vector<const sim::MissingMask*> masks;
-  for (size_t t = 0; t < 3; ++t) {
+  for (size_t t = 0; t < 4; ++t) {
     samples.push_back(outage.test.Sample(t % outage.test.num_samples()));
     masks.push_back(&none);
   }
@@ -237,29 +227,17 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
     samples.push_back(normal.Sample(t % normal.num_samples()));
     masks.push_back(&missing);
   }
-
-  std::vector<OutageDetector::BatchSample> batch;
-  for (size_t k = 0; k < samples.size(); ++k) {
-    batch.push_back({&samples[k].first, &samples[k].second, masks[k]});
-  }
-  auto reused_events = reused.ProcessBatch(batch);
-  auto fresh_events = fresh.ProcessBatch(batch);
-  ASSERT_TRUE(reused_events.ok());
-  ASSERT_TRUE(fresh_events.ok());
-  ASSERT_EQ(reused_events->size(), fresh_events->size());
-  for (size_t k = 0; k < reused_events->size(); ++k) {
-    SCOPED_TRACE("batch event " + std::to_string(k));
-    ExpectSameEvent((*reused_events)[k], (*fresh_events)[k]);
-  }
-
-  // Tail through the single-sample path too (memo/state interplay).
   for (size_t t = 0; t < 4; ++t) {
-    auto [vm, va] = outage.test.Sample(t % outage.test.num_samples());
-    auto a = reused.Process(vm, va);
-    auto b = fresh.Process(vm, va);
+    samples.push_back(outage.test.Sample(t % outage.test.num_samples()));
+    masks.push_back(&none);
+  }
+  for (size_t k = 0; k < samples.size(); ++k) {
+    SCOPED_TRACE("event " + std::to_string(k));
+    const auto& [vm, va] = samples[k];
+    auto a = reused.Process(vm, va, *masks[k]);
+    auto b = fresh.Process(vm, va, *masks[k]);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    SCOPED_TRACE("tail sample " + std::to_string(t));
     ExpectSameEvent(*a, *b);
   }
 }
