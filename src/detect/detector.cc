@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "linalg/views.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,15 +20,11 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
-// Stable model keys for the proximity cache. Node keys occupy the even
-// and odd slots after the normal model; line-case keys start past the
-// node range (grids here are far below 2^20 nodes).
+// Stable model keys for the proximity cache. Node keys occupy the odd
+// and even slots after the normal model.
 constexpr uint64_t kNormalModelKey = 0;
 uint64_t UnionKey(size_t node) { return 1 + 2 * node; }
 uint64_t IntersectionKey(size_t node) { return 2 + 2 * node; }
-// All whitened classification models share one coefficient matrix, so
-// they share a single cache family key.
-constexpr uint64_t kClassFamilyKey = uint64_t{1} << 21;
 
 // Floor keeping the Eq. 11 ratio finite when the normal residual is
 // numerically zero.
@@ -81,15 +78,16 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   ThreadPool pool(ResolveParallelism(options.parallelism));
 
   // 1. Subspace model per condition. The normal model keeps its full
-  // basis: the whitened classification models are built from it.
+  // basis only until the whitened class family is built from it.
   // Per-line models are independent SVD/eigensolve problems, so the
   // loop fans out across the pool; results land in their own slots and
-  // are bit-identical at any parallelism degree.
+  // are bit-identical at any parallelism degree. They are train-only:
+  // the node subspaces below are composed from them.
   SubspaceModelOptions normal_opts = options.subspace;
   normal_opts.keep_full_basis = true;
   PW_ASSIGN_OR_RETURN(det.normal_model_,
                       LearnSubspaceModel(*data.normal, normal_opts));
-  det.line_models_.resize(data.outage.size());
+  std::vector<SubspaceModel> line_models(data.outage.size());
   PW_RETURN_IF_ERROR(pool.ParallelFor(
       data.outage.size(), [&](size_t c) -> Status {
         const sim::PhasorDataSet* block = data.outage[c];
@@ -97,18 +95,17 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
           return Status::InvalidArgument(
               "outage training block missing/wrong size");
         }
-        PW_ASSIGN_OR_RETURN(det.line_models_[c],
+        PW_ASSIGN_OR_RETURN(line_models[c],
                             LearnSubspaceModel(*block, options.subspace));
         return Status::OK();
       }));
-  const size_t normal_samples = data.normal->num_samples();
-  det.normal_class_model_ = MakeWhitenedClassModel(
-      det.normal_model_, det.normal_model_.mean, normal_samples);
-  det.line_class_models_.reserve(det.line_models_.size());
-  for (const SubspaceModel& m : det.line_models_) {
-    det.line_class_models_.push_back(
-        MakeWhitenedClassModel(det.normal_model_, m.mean, normal_samples));
+  Matrix case_means(line_models.size(), det.normal_model_.mean.size());
+  for (size_t c = 0; c < line_models.size(); ++c) {
+    case_means.SetRow(c, line_models[c].mean);
   }
+  det.class_family_ = WhitenedClassFamily::Make(
+      det.normal_model_, std::move(case_means), data.normal->num_samples());
+  det.normal_model_.full_basis = Matrix();
 
   // 2. Node-based union/intersection subspaces (Eq. 3). Nodes with no
   // valid outage case fall back to the normal model's constraints so
@@ -122,7 +119,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::vector<const SubspaceModel*> incident;
     for (size_t c = 0; c < det.case_lines_.size(); ++c) {
       if (det.case_lines_[c].i == i || det.case_lines_[c].j == i) {
-        incident.push_back(&det.line_models_[c]);
+        incident.push_back(&line_models[c]);
       }
     }
     if (incident.empty()) {
@@ -209,7 +206,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         worst[c] = std::max(worst[c], residuals[c]);
       }
       Vector scores;
-      PW_RETURN_IF_ERROR(det.RawNodeScoresInto(features, groups, &scores));
+      PW_RETURN_IF_ERROR(
+          det.RawNodeScoresInto(features, groups, residuals, &scores));
       for (size_t i = 0; i < n; ++i) raw_scores[i].push_back(scores[i]);
     }
     for (size_t c = 0; c < num_clusters; ++c) {
@@ -242,35 +240,24 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng mask_rng(0x9A7E5EEDull);
     double lowest_normal_ratio = 1e300;
+    ClassScores classes;
     auto ratio_for = [&](const Vector& features,
-                         const std::vector<size_t>& avail) -> Result<double> {
-      PW_ASSIGN_OR_RETURN(double r0,
-                          det.engine_.Evaluate(det.normal_class_model_,
-                                               kClassFamilyKey, features,
-                                               det.GroupCoordinates(avail)));
-      double best = -1.0;
-      for (size_t c = 0; c < det.case_lines_.size(); ++c) {
-        PW_ASSIGN_OR_RETURN(
-            double prox,
-            det.engine_.Evaluate(det.line_class_models_[c], kClassFamilyKey,
-                                 features, det.GroupCoordinates(avail)));
-        if (best < 0.0 || prox < best) best = prox;
-      }
-      return best / std::max(r0, kProxFloor);
+                         const std::vector<size_t>& avail) {
+      det.class_family_.Score(features, det.GroupCoordinates(avail), &classes);
+      return classes.BestCaseResidual() /
+             std::max(classes.normal(), kProxFloor);
     };
     std::vector<size_t> all_nodes(n);
     std::iota(all_nodes.begin(), all_nodes.end(), size_t{0});
     for (size_t t = 0; t < normal_take; ++t) {
       auto [vm, va] = data.normal->Sample(t);
       Vector features = FeatureVector(vm, va, options.subspace.channel);
-      PW_ASSIGN_OR_RETURN(double complete_ratio,
-                          ratio_for(features, all_nodes));
-      lowest_normal_ratio = std::min(lowest_normal_ratio, complete_ratio);
+      lowest_normal_ratio =
+          std::min(lowest_normal_ratio, ratio_for(features, all_nodes));
       sim::MissingMask mask =
           sim::MissingRandom(n, 1 + mask_rng.UniformInt(4), {}, mask_rng);
-      PW_ASSIGN_OR_RETURN(double masked_ratio,
-                          ratio_for(features, mask.AvailableIndices()));
-      lowest_normal_ratio = std::min(lowest_normal_ratio, masked_ratio);
+      lowest_normal_ratio = std::min(
+          lowest_normal_ratio, ratio_for(features, mask.AvailableIndices()));
     }
     det.ratio_gate_ =
         std::min(det.ratio_gate_, 0.9 * lowest_normal_ratio);
@@ -285,7 +272,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   // identification only). For each single-outage training sample of
   // case t, peel the TRUE line's mean shift and record the normalized
   // residual drop
-  //   delta_c = (r_peeled_normal - r_peeled_class_c) / ||R d_c||^2
+  //   delta_c = (r_peeled_normal - r_peeled_class_c) / ||Q S_c||^2
   // every other case c would have scored — the null distribution of a
   // spurious second line riding on a real first one. The thresholds
   // are conditioned on the anchor: tau(c | t) is the configured
@@ -305,62 +292,37 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::vector<size_t> all_nodes(n);
     std::iota(all_nodes.begin(), all_nodes.end(), size_t{0});
     const std::vector<size_t> all_coords = det.GroupCoordinates(all_nodes);
-    const size_t dim = det.normal_class_model_.mean.size();
     const size_t num_cases = data.outage.size();
-
-    // Whitened shift energies ||R d_c||^2: the normal class model
-    // evaluated at mu_c measures exactly ||R (mu_c - mu_n)||^2. Not
-    // stored — Detect recomputes the energy over ITS pooled
-    // coordinates, so that under missing data the drop and its
-    // normalizer always cover the same coordinate set and the delta
-    // statistic keeps the calibrated scale.
-    std::vector<double> shift_energy(num_cases, kProxFloor);
-    for (size_t c = 0; c < num_cases; ++c) {
-      PW_ASSIGN_OR_RETURN(
-          double energy,
-          det.engine_.Evaluate(det.normal_class_model_, kClassFamilyKey,
-                               det.line_class_models_[c].mean, all_coords));
-      shift_energy[c] = std::max(energy, kProxFloor);
-    }
 
     std::vector<std::vector<double>> nulls(num_cases * num_cases);
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng peel_mask_rng(0x9EE15EEDull);
-    // Records the spurious deltas of every non-true case on a peeled
-    // sample over one coordinate set. The shift energy is re-evaluated
-    // per coordinate set so masked variants keep the statistic's scale
-    // (Detect does the same over its pooled coordinates).
-    auto record_nulls = [&](const Vector& peeled, size_t t,
-                            const std::vector<size_t>& coords) -> Status {
-      PW_ASSIGN_OR_RETURN(
-          double r_base,
-          det.engine_.Evaluate(det.normal_class_model_, kClassFamilyKey,
-                               peeled, coords));
+    ClassScores classes;
+    Vector peeled;
+    // Records the spurious deltas of every non-true case on the sample
+    // peeled by its true case t, over one coordinate set, through the
+    // same k-space residuals Detect uses: the drop and its normalizer
+    // ||Q S_c||^2 always cover the same coordinates, so masked variants
+    // keep the statistic's scale.
+    auto record_nulls = [&](const Vector& features, size_t t,
+                            const std::vector<size_t>& coords) {
+      det.class_family_.Score(features, coords, &classes);
+      peeled = classes.y();
+      linalg::AxpyInto(-1.0, classes.Shift(t), peeled);
+      const double r_base = linalg::SquaredNorm(peeled);
       for (size_t c = 0; c < num_cases; ++c) {
         if (c == t) continue;
-        PW_ASSIGN_OR_RETURN(
-            double r,
-            det.engine_.Evaluate(det.line_class_models_[c], kClassFamilyKey,
-                                 peeled, coords));
-        PW_ASSIGN_OR_RETURN(
-            double energy,
-            det.engine_.Evaluate(det.normal_class_model_, kClassFamilyKey,
-                                 det.line_class_models_[c].mean, coords));
+        const double r = classes.Residual(peeled, c);
         nulls[c * num_cases + t].push_back(
-            (r_base - r) / std::max(energy, kProxFloor));
+            (r_base - r) / std::max(classes.ShiftEnergy(c), kProxFloor));
       }
-      return Status::OK();
     };
     for (size_t t = 0; t < num_cases; ++t) {
       const sim::PhasorDataSet* block = data.outage[t];
       for (size_t s = 0; s < block->num_samples(); ++s) {
         auto [vm, va] = block->Sample(s);
-        Vector peeled = FeatureVector(vm, va, options.subspace.channel);
-        for (size_t i = 0; i < dim; ++i) {
-          peeled[i] -= det.line_class_models_[t].mean[i] -
-                       det.normal_class_model_.mean[i];
-        }
-        PW_RETURN_IF_ERROR(record_nulls(peeled, t, all_coords));
+        Vector features = FeatureVector(vm, va, options.subspace.channel);
+        record_nulls(features, t, all_coords);
         // A masked variant per sample, mirroring the ratio-gate
         // calibration: the bad-data screen and transport loss both
         // shrink the coordinate set at detect time, and the whitened
@@ -368,8 +330,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         // beyond their complete-coordinate envelope.
         sim::MissingMask mask = sim::MissingRandom(
             n, 1 + peel_mask_rng.UniformInt(4), {}, peel_mask_rng);
-        PW_RETURN_IF_ERROR(record_nulls(
-            peeled, t, det.GroupCoordinates(mask.AvailableIndices())));
+        record_nulls(features, t,
+                     det.GroupCoordinates(mask.AvailableIndices()));
       }
     }
     det.peel_tau_.assign(num_cases * num_cases, kPeelTauNever);
@@ -527,7 +489,7 @@ Result<Vector> OutageDetector::ClusterNormalResiduals(
 
 PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
-    Vector* scores) {
+    const Vector& cluster_residuals, Vector* scores) {
   const size_t n = grid_->num_buses();
   scores->Assign(n);
   for (size_t i = 0; i < n; ++i) {
@@ -548,11 +510,9 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
         double prox_intersection,
         engine_.Evaluate(node_models_[i].intersection_model,
                          IntersectionKey(i), features, group.coords));
-    PW_ASSIGN_OR_RETURN(
-        double prox_normal,
-        engine_.Evaluate(normal_model_, kNormalModelKey, features,
-                         group.coords));
-    // Eq. 11: scale the union proximity by intersection/normal.
+    // Eq. 11: scale the union proximity by intersection/normal. The
+    // normal proximity through this group is the cluster's gate residual.
+    const double prox_normal = cluster_residuals[network_->ClusterOf(i)];
     (*scores)[i] = prox_union * prox_intersection /
                    std::max(prox_normal, kProxFloor);
   }
@@ -561,8 +521,9 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
 
 PW_NO_ALLOC Status OutageDetector::NodeScoresInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
-    Vector* scores) {
-  PW_RETURN_IF_ERROR(RawNodeScoresInto(features, groups, scores));
+    const Vector& cluster_residuals, Vector* scores) {
+  PW_RETURN_IF_ERROR(
+      RawNodeScoresInto(features, groups, cluster_residuals, scores));
   for (size_t i = 0; i < scores->size(); ++i) {
     const SelectedGroup& group = groups[network_->ClusterOf(i)];
     const Vector& baseline =
@@ -586,11 +547,14 @@ struct OutageDetector::DetectScratch {
   std::vector<size_t> pooled_coords;
   std::vector<size_t> order;
   std::vector<bool> selected;
+  /// k-space class residuals of the sample over pooled_coords, shared
+  /// by gate 2, localization and peeling.
+  ClassScores classes;
   std::vector<std::pair<double, size_t>> candidates;  // (residual, case)
-  /// Multi-line peeling state (max_outage_lines >= 2 only): the sample
-  /// with the accepted lines' mean shifts subtracted, and which cases
-  /// have been taken.
-  linalg::Vector peel_features;
+  /// Multi-line peeling state (max_outage_lines >= 2 only): Q y with
+  /// the accepted lines' shifts subtracted, and which cases have been
+  /// taken.
+  linalg::Vector peeled;
   std::vector<bool> peel_taken;
 };
 
@@ -692,29 +656,17 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(
       return Status::DataMissing("all measurements missing or screened");
     }
     GroupCoordinatesInto(scratch.pooled, &scratch.pooled_coords);
-    PW_ASSIGN_OR_RETURN(
-        double normal_residual,
-        engine_.Evaluate(normal_class_model_, kClassFamilyKey, features,
-                         scratch.pooled_coords));
-    double best_line_residual = -1.0;
-    for (size_t c = 0; c < case_lines_.size(); ++c) {
-      PW_ASSIGN_OR_RETURN(
-          double prox,
-          engine_.Evaluate(line_class_models_[c], kClassFamilyKey, features,
-                           scratch.pooled_coords));
-      if (best_line_residual < 0.0 || prox < best_line_residual) {
-        best_line_residual = prox;
-      }
-    }
-    double ratio =
-        best_line_residual / std::max(normal_residual, kProxFloor);
+    class_family_.Score(features, scratch.pooled_coords, &scratch.classes);
+    double ratio = scratch.classes.BestCaseResidual() /
+                   std::max(scratch.classes.normal(), kProxFloor);
     result.decision_score =
         std::max(result.decision_score, ratio_gate_ / std::max(ratio, 1e-9));
   }
 
   {
     PW_TRACE_SCOPE("detect.stage.proximity_us");
-    PW_RETURN_IF_ERROR(NodeScoresInto(features, groups, &result.node_scores));
+    PW_RETURN_IF_ERROR(NodeScoresInto(features, groups, scratch.residuals,
+                                      &result.node_scores));
   }
   if (result.decision_score <= 1.0) {
     result.outage_detected = false;
@@ -725,8 +677,6 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(
   PW_OBS_COUNTER_INC("detect.outages_flagged");
 
   PW_TRACE_SCOPE("detect.stage.localization_us");
-  // The pooled coordinates from the gate stage are reused for the
-  // class-model localization below.
 
   // Sorted node list N_t by scaled proximity, ascending (closest first).
   scratch.order.resize(n);
@@ -794,23 +744,21 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(
   }
 
   // Line disambiguation: rank the trained line cases by the whitened
-  // distance of the sample to each case's class model (all through the
-  // same available coordinates, so residuals are comparable). The
-  // node-ranking prefix localizes the neighborhood for the operator;
-  // F-hat itself comes from the sharper class-model comparison.
+  // distance of the sample to each case's class model — the gate-2
+  // residuals, all over the same available coordinates, so they are
+  // comparable. The node-ranking prefix localizes the neighborhood for
+  // the operator; F-hat itself comes from the sharper class-model
+  // comparison.
   scratch.candidates.clear();
   std::vector<std::pair<double, size_t>>& candidates = scratch.candidates;
-  for (size_t c = 0; c < case_lines_.size(); ++c) {
-    PW_ASSIGN_OR_RETURN(double prox,
-                        engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
-                                         features, scratch.pooled_coords));
-    candidates.push_back({prox, c});
+  for (size_t c = 0; c < scratch.classes.cases().size(); ++c) {
+    candidates.push_back({scratch.classes.cases()[c], c});
   }
   std::sort(candidates.begin(), candidates.end());
   if (options_.max_outage_lines >= 2 && !candidates.empty()) {
     // Multi-line identification: composed-pair scoring + greedy residual
     // peeling replace the line-window rule (docs/ROBUSTNESS.md).
-    PW_RETURN_IF_ERROR(IdentifyOutageSet(features, scratch, &result));
+    IdentifyOutageSet(scratch, &result);
   } else if (!candidates.empty()) {
     double best = std::max(candidates.front().first, kProxFloor);
     for (const auto& [prox, c] : candidates) {
@@ -823,48 +771,16 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(
   return result;
 }
 
-PW_NO_ALLOC Result<double> OutageDetector::PeeledClassResidual(
-    size_t c, DetectScratch& scratch) {
-  // All class models share one whitened coefficient matrix, so the
-  // regressor cached under kClassFamilyKey for the pooled coordinates is
-  // reused verbatim; only the mean differs. Evaluating case c's model on
-  // the peeled sample x - sum(d_a) measures the residual against the
-  // composed mean mu_n + sum(d_a) + d_c — the linearized multi-outage
-  // subspace.
-  return engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
-                          scratch.peel_features, scratch.pooled_coords);
-}
-
-Status OutageDetector::IdentifyOutageSet(const Vector& features,
-                                         DetectScratch& scratch,
-                                         DetectionResult* result) {
+void OutageDetector::IdentifyOutageSet(DetectScratch& scratch,
+                                       DetectionResult* result) {
   PW_TRACE_SCOPE("detect.stage.peel_us");
   const std::vector<std::pair<double, size_t>>& candidates = scratch.candidates;
+  const ClassScores& classes = scratch.classes;
   const size_t num_cases = case_lines_.size();
-  const size_t dim = features.size();
   scratch.peel_taken.assign(num_cases, false);
 
-  // Baseline: normal-class residual over the pooled coordinates (the
-  // same statistic the ratio gate used; the cached regressor makes this
-  // a re-lookup, not a re-factorization).
-  PW_ASSIGN_OR_RETURN(
-      double r0, engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                                  features, scratch.pooled_coords));
-  r0 = std::max(r0, kProxFloor);
-
-  // Resets peel_features to the sample with case c's mean shift
-  // subtracted composed on top of whatever is already peeled.
-  auto subtract_shift = [&](size_t c) {
-    const Vector& case_mean = line_class_models_[c].mean;
-    const Vector& normal_mean = normal_class_model_.mean;
-    for (size_t i = 0; i < dim; ++i) {
-      scratch.peel_features[i] -= case_mean[i] - normal_mean[i];
-    }
-  };
-  auto reset_peel = [&] {
-    scratch.peel_features.Assign(dim);
-    for (size_t i = 0; i < dim; ++i) scratch.peel_features[i] = features[i];
-  };
+  // Baseline: the normal-class residual ||Q y||^2 the ratio gate used.
+  const double r0 = std::max(classes.normal(), kProxFloor);
 
   // Appends case c with a confidence clamped to [0, 1] and forced
   // monotone non-increasing: each later line is conditioned on every
@@ -877,6 +793,8 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
     result->outage_set.push_back({case_lines_[c], conf});
     result->lines.push_back(case_lines_[c]);
     scratch.peel_taken[c] = true;
+    // Compose the hypothesis in k-space: y' = Q y - sum_a Q S_a.
+    linalg::AxpyInto(-1.0, classes.Shift(c), scratch.peeled);
   };
 
   // Greedy residual peeling anchored on the proximity winner. The
@@ -884,28 +802,25 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
   // identification is always owed, and the anchor is exactly the line a
   // single-line detector would report. Every deeper line c must then
   // clear its calibrated threshold on the normalized residual drop
-  //   delta_c = (r_before - r_after) / ||R d_c||^2,
+  //   delta_c = (r_before - r_after) / ||Q S_c||^2,
   // which is ~ +1 when the peeled residual really contains c's mean
   // shift and hovers in the spurious-null range otherwise. The argmin
-  // over composed residuals is searched over ALL remaining cases: true
-  // second lines routinely rank far down the single-line ordering
-  // because the anchor's shift dominates their unpeeled residual.
-  reset_peel();
+  // over composed residuals ||y' - Q S_c||^2 is searched over ALL
+  // remaining cases: true second lines routinely rank far down the
+  // single-line ordering because the anchor's shift dominates their
+  // unpeeled residual.
+  scratch.peeled = classes.y();
   const size_t anchor = candidates.front().second;
   accept(anchor, 1.0 - std::max(candidates.front().first, kProxFloor) / r0);
-  subtract_shift(anchor);
 
   while (result->outage_set.size() < options_.max_outage_lines) {
-    PW_ASSIGN_OR_RETURN(
-        double r_base,
-        engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                         scratch.peel_features, scratch.pooled_coords));
-    r_base = std::max(r_base, kProxFloor);
+    const double r_base =
+        std::max(linalg::SquaredNorm(scratch.peeled), kProxFloor);
     double best = -1.0;
     size_t best_case = num_cases;
     for (size_t c = 0; c < num_cases; ++c) {
       if (scratch.peel_taken[c]) continue;
-      PW_ASSIGN_OR_RETURN(double r, PeeledClassResidual(c, scratch));
+      const double r = classes.Residual(scratch.peeled, c);
       if (best < 0.0 || r < best) {
         best = r;
         best_case = c;
@@ -915,21 +830,15 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
     // Normalizer over the SAME pooled coordinates as the drop itself:
     // under missing data both shrink together, keeping the delta
     // statistic on the scale the thresholds were calibrated at.
-    PW_ASSIGN_OR_RETURN(
-        double energy,
-        engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                         line_class_models_[best_case].mean,
-                         scratch.pooled_coords));
+    const double energy = classes.ShiftEnergy(best_case);
     const double drop = (r_base - best) / std::max(energy, kProxFloor);
     if (drop <= peel_tau_[best_case * num_cases + anchor]) {
       break;  // stop rule: the best drop looks like a spurious null
     }
     PW_OBS_COUNTER_INC("detect.multi.peel_accepted");
     accept(best_case, 1.0 - best / r_base);
-    subtract_shift(best_case);
   }
   PW_OBS_QUANTILE_RECORD("detect.multi.set_size", result->outage_set.size());
-  return Status::OK();
 }
 
 }  // namespace phasorwatch::detect

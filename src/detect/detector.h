@@ -170,8 +170,9 @@ struct DetectionResult {
 ///
 /// Thread safety: a trained detector is logically immutable, and
 /// Detect() may be called concurrently from multiple threads (its only
-/// mutable state is the internal ProximityEngine regressor cache, which
-/// is internally synchronized). Train()/Load() themselves must finish
+/// mutable state is the internal ProximityEngine regressor cache of the
+/// normal and node models, which is internally synchronized; class
+/// scoring takes no lock). Train()/Load() themselves must finish
 /// before the detector is shared.
 class OutageDetector {
  public:
@@ -197,6 +198,7 @@ class OutageDetector {
   const CapabilityTable& capabilities() const { return capabilities_; }
   const std::vector<ClusterDetectionGroup>& groups() const { return groups_; }
   const SubspaceModel& normal_model() const { return normal_model_; }
+  const WhitenedClassFamily& class_family() const { return class_family_; }
   const NodeSubspaces& node_subspaces(size_t node) const {
     return node_models_[node];
   }
@@ -250,16 +252,18 @@ class OutageDetector {
                                     std::vector<SelectedGroup>* groups) const;
 
   /// Scaled proximity scores for every node (Eqs. 9-11), given the
-  /// per-cluster groups, before baseline normalization.
+  /// per-cluster groups and their normal residuals (from
+  /// ClusterNormalResidualsInto: the Eq. 11 normal proximity of a node
+  /// is its cluster's), before baseline normalization.
   PW_NO_ALLOC PW_NODISCARD Status RawNodeScoresInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
-      linalg::Vector* scores);
+      const linalg::Vector& cluster_residuals, linalg::Vector* scores);
 
   /// Raw scores divided by the per-node normal-data baselines (making
   /// scores comparable across clusters of different group sizes).
   PW_NO_ALLOC PW_NODISCARD Status NodeScoresInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
-      linalg::Vector* scores);
+      const linalg::Vector& cluster_residuals, linalg::Vector* scores);
 
   /// Normal-subspace residual per cluster through its group (the gate
   /// statistic).
@@ -286,33 +290,21 @@ class OutageDetector {
   /// peeling anchored on the top-ranked candidate, each further line
   /// gated by its calibrated per-case threshold (peel_tau_), up to the
   /// budget, into result->outage_set (and a mirroring result->lines).
-  /// Requires scratch.candidates sorted and scratch.pooled_coords
-  /// valid (the localization stage state).
-  PW_NODISCARD Status IdentifyOutageSet(const linalg::Vector& features,
-                                        DetectScratch& scratch,
-                                        DetectionResult* result);
-
-  /// Class residual of `features` with case `c`'s mean shift composed
-  /// on top of the already-peeled mean in scratch.peel_features, over
-  /// the pooled coordinates.
-  PW_NO_ALLOC PW_NODISCARD Result<double> PeeledClassResidual(
-      size_t c, DetectScratch& scratch);
+  /// Requires scratch.candidates sorted and scratch.classes scored on
+  /// this sample (the localization stage state).
+  void IdentifyOutageSet(DetectScratch& scratch, DetectionResult* result);
 
   const grid::Grid* grid_ = nullptr;          // not owned
   const sim::PmuNetwork* network_ = nullptr;  // not owned
   DetectorOptions options_;
 
   SubspaceModel normal_model_;
-  /// Whitened classification twin of the normal model (shares the
-  /// coefficient matrix with the line class models below).
-  SubspaceModel normal_class_model_;
-  std::vector<SubspaceModel> line_models_;       // per training case
-  /// Classification models for line disambiguation: the normal
-  /// model's (well-estimated) constraint basis paired with each
-  /// line case's mean. Residuals annihilate shared load modes while
-  /// keeping the outage mean shift visible, which is far more robust
-  /// on small training sets than the per-line constraint bases.
-  std::vector<SubspaceModel> line_class_models_;
+  /// Classification family for gate 2 and line disambiguation: the
+  /// normal model's whitened full basis W, held once, paired with
+  /// every line case's mean. Residuals annihilate shared load modes
+  /// while keeping the outage mean shift visible, which is far more
+  /// robust on small training sets than the per-line constraint bases.
+  WhitenedClassFamily class_family_;
   std::vector<grid::LineId> case_lines_;
   std::vector<NodeSubspaces> node_models_;       // per node
   std::vector<EllipseModel> ellipses_;           // per node

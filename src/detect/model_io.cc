@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <string>
 
 #include "common/serialize.h"
 #include "common/status.h"
@@ -15,9 +16,13 @@ namespace {
 
 // Bumped whenever the layout changes (PWDET03 added the bad-data
 // screening options; PWDET04 the multi-line identification options and
-// calibrated per-case peel thresholds); older files are rejected as
-// unreadable rather than misparsed.
-constexpr uint64_t kMagic = 0x5057444554303400ull;  // "PWDET04\0"
+// calibrated per-case peel thresholds; PWDET05 replaced the per-class
+// whitened models with one class family — W once plus the case means —
+// and dropped the train-only per-line models); older files are
+// rejected as unreadable rather than misparsed.
+constexpr uint64_t kMagic = 0x5057444554303500ull;  // "PWDET05\0"
+// The magic minus its version digit (byte 1 of the little-endian u64).
+constexpr uint64_t kVersionDigitMask = 0xFFFFFFFFFFFF00FFull;
 
 using linalg::Matrix;
 using linalg::Subspace;
@@ -124,13 +129,11 @@ Status OutageDetector::Save(std::ostream& out) const {
     w.WriteU64(line.j);
   }
 
-  // Models.
+  // Models. The class family's normal mean is the normal model's, and
+  // its shift matrix is derived on load.
   WriteModel(w, normal_model_);
-  WriteModel(w, normal_class_model_);
-  w.WriteU64(line_models_.size());
-  for (const SubspaceModel& m : line_models_) WriteModel(w, m);
-  w.WriteU64(line_class_models_.size());
-  for (const SubspaceModel& m : line_class_models_) WriteModel(w, m);
+  WriteMatrix(w, class_family_.w());
+  WriteMatrix(w, class_family_.case_means());
   w.WriteU64(node_models_.size());
   for (const NodeSubspaces& node : node_models_) {
     WriteModel(w, node.union_model);
@@ -190,6 +193,11 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   BinaryReader r(in);
   PW_ASSIGN_OR_RETURN(uint64_t magic, r.ReadU64());
   if (magic != kMagic) {
+    if ((magic & kVersionDigitMask) == (kMagic & kVersionDigitMask)) {
+      return Status::InvalidArgument(
+          std::string("unsupported detector model format version PWDET0") +
+          static_cast<char>((magic >> 8) & 0xFF) + " (expected PWDET05)");
+    }
     return Status::InvalidArgument("not a phasorwatch detector model file");
   }
   PW_ASSIGN_OR_RETURN(uint64_t fingerprint, r.ReadU64());
@@ -254,25 +262,22 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   }
 
   PW_ASSIGN_OR_RETURN(det.normal_model_, ReadModel(r));
-  PW_ASSIGN_OR_RETURN(det.normal_class_model_, ReadModel(r));
-  PW_ASSIGN_OR_RETURN(uint64_t num_line_models, r.ReadU64());
-  if (num_line_models != num_cases) {
-    return Status::InvalidArgument("line model count mismatch");
+  const size_t feature_dim =
+      (det.options_.subspace.channel == PhasorChannel::kBoth ? 2 : 1) *
+      grid.num_buses();
+  if (det.normal_model_.mean.size() != feature_dim) {
+    return Status::InvalidArgument("normal model dimension mismatch");
   }
-  det.line_models_.reserve(num_line_models);
-  for (uint64_t c = 0; c < num_line_models; ++c) {
-    PW_ASSIGN_OR_RETURN(SubspaceModel m, ReadModel(r));
-    det.line_models_.push_back(std::move(m));
+  PW_ASSIGN_OR_RETURN(Matrix class_w, ReadMatrix(r));
+  PW_ASSIGN_OR_RETURN(Matrix case_means, ReadMatrix(r));
+  if (case_means.rows() != num_cases) {
+    return Status::InvalidArgument("class mean count mismatch");
   }
-  PW_ASSIGN_OR_RETURN(uint64_t num_class_models, r.ReadU64());
-  if (num_class_models != num_cases) {
-    return Status::InvalidArgument("class model count mismatch");
-  }
-  det.line_class_models_.reserve(num_class_models);
-  for (uint64_t c = 0; c < num_class_models; ++c) {
-    PW_ASSIGN_OR_RETURN(SubspaceModel m, ReadModel(r));
-    det.line_class_models_.push_back(std::move(m));
-  }
+  PW_ASSIGN_OR_RETURN(
+      det.class_family_,
+      WhitenedClassFamily::FromParts(std::move(class_w),
+                                     det.normal_model_.mean,
+                                     std::move(case_means)));
   PW_ASSIGN_OR_RETURN(uint64_t num_nodes, r.ReadU64());
   if (num_nodes != grid.num_buses()) {
     return Status::InvalidArgument("node model count mismatch");

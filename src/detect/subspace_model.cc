@@ -7,6 +7,8 @@
 #include "common/status.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/svd.h"
+#include "linalg/views.h"
+#include "obs/metrics.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -129,6 +131,31 @@ Subspace SoftIntersectionLowRank(const std::vector<const Subspace*>& parts,
     kept.push_back(lift(0));
   }
   return Subspace::FromOrthonormal(Matrix::FromColumns(kept));
+}
+
+// W: the reference's full basis with direction j scaled by
+// 1 / sqrt(sigma_j^2 + ridge^2), where sigma_j = s_j / sqrt(T - 1) and
+// the ridge is the bottom-quartile sigma, so noise-floor directions do
+// not dominate the distance.
+Matrix WhitenedBasis(const SubspaceModel& reference, size_t num_samples) {
+  PW_CHECK(!reference.full_basis.empty());
+  PW_CHECK_GT(num_samples, 1u);
+  const Matrix& u = reference.full_basis;
+  const Vector& s = reference.singular_values;
+  const size_t k = s.size();
+  PW_CHECK_EQ(u.cols(), k);
+
+  Vector sigma(k);
+  double denom = std::sqrt(static_cast<double>(num_samples - 1));
+  for (size_t j = 0; j < k; ++j) sigma[j] = s[j] / denom;
+  double ridge = std::max(sigma[(3 * k) / 4], 1e-12);
+
+  Matrix whitened = u;
+  for (size_t j = 0; j < k; ++j) {
+    double w = 1.0 / std::sqrt(sigma[j] * sigma[j] + ridge * ridge);
+    for (size_t i = 0; i < whitened.rows(); ++i) whitened(i, j) *= w;
+  }
+  return whitened;
 }
 
 }  // namespace
@@ -274,34 +301,109 @@ Result<SubspaceModel> LearnSubspaceModel(const sim::PhasorDataSet& data,
   return model;
 }
 
-SubspaceModel MakeWhitenedClassModel(const SubspaceModel& reference,
-                                     Vector mean, size_t num_samples) {
-  PW_CHECK(!reference.full_basis.empty());
-  PW_CHECK_GT(num_samples, 1u);
-  const Matrix& u = reference.full_basis;
-  const Vector& s = reference.singular_values;
-  const size_t k = s.size();
-  PW_CHECK_EQ(u.cols(), k);
+linalg::ConstVectorView ClassScores::Shift(size_t c) const {
+  PW_CHECK(shifts_ != nullptr);
+  return linalg::ConstMatrixView(*shifts_).RowView(c);
+}
 
-  // Per-direction standard deviations; ridge at the bottom quartile so
-  // noise-floor directions do not dominate the distance.
-  Vector sigma(k);
-  double denom = std::sqrt(static_cast<double>(num_samples - 1));
-  for (size_t j = 0; j < k; ++j) sigma[j] = s[j] / denom;
-  double ridge = std::max(sigma[(3 * k) / 4], 1e-12);
+double ClassScores::BestCaseResidual() const {
+  double best = -1.0;
+  for (size_t c = 0; c < cases_.size(); ++c) {
+    if (best < 0.0 || cases_[c] < best) best = cases_[c];
+  }
+  return best;
+}
 
-  Matrix whitened = u;
-  for (size_t j = 0; j < k; ++j) {
-    double w = 1.0 / std::sqrt(sigma[j] * sigma[j] + ridge * ridge);
-    for (size_t i = 0; i < whitened.rows(); ++i) whitened(i, j) *= w;
+double ClassScores::ShiftEnergy(size_t c) const {
+  return linalg::SquaredNorm(Shift(c));
+}
+
+double ClassScores::Residual(linalg::ConstVectorView v, size_t c) const {
+  return linalg::SquaredDistance(v, Shift(c));
+}
+
+WhitenedClassFamily::WhitenedClassFamily(Matrix w, Vector normal_mean,
+                                         Matrix case_means)
+    : w_(std::move(w)),
+      normal_mean_(std::move(normal_mean)),
+      case_means_(std::move(case_means)),
+      shifts_(case_means_.rows(), w_.cols()) {
+  // S_c = W^T (mu_c - mu_n).
+  const size_t n = w_.rows();
+  for (size_t c = 0; c < case_means_.rows(); ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      const double d = case_means_(c, i) - normal_mean_[i];
+      if (d == 0.0) continue;
+      for (size_t j = 0; j < w_.cols(); ++j) shifts_(c, j) += d * w_(i, j);
+    }
+  }
+}
+
+WhitenedClassFamily WhitenedClassFamily::Make(const SubspaceModel& reference,
+                                              Matrix case_means,
+                                              size_t num_samples) {
+  PW_CHECK_EQ(case_means.cols(), reference.mean.size());
+  return WhitenedClassFamily(WhitenedBasis(reference, num_samples),
+                             reference.mean, std::move(case_means));
+}
+
+Result<WhitenedClassFamily> WhitenedClassFamily::FromParts(Matrix w,
+                                                           Vector normal_mean,
+                                                           Matrix case_means) {
+  if (w.rows() == 0 || w.cols() == 0 || w.cols() > w.rows() ||
+      normal_mean.size() != w.rows() ||
+      (case_means.rows() > 0 && case_means.cols() != w.rows())) {
+    return Status::InvalidArgument("inconsistent whitened class family shapes");
+  }
+  return WhitenedClassFamily(std::move(w), std::move(normal_mean),
+                             std::move(case_means));
+}
+
+PW_NO_ALLOC void WhitenedClassFamily::Score(const Vector& features,
+                                            const std::vector<size_t>& coords,
+                                            ClassScores* out) const {
+  const size_t n = ambient_dim();
+  const size_t k = dim();
+  PW_CHECK_EQ(features.size(), n);
+  PW_CHECK(!coords.empty());
+
+  // y = W_D^T (x_D - mu_n,D): the hidden coordinates are filled with
+  // the normal mean, which Q makes irrelevant.
+  out->y_.Assign(k);
+  linalg::CenteredRowSumInto(w_, coords, features, normal_mean_, out->y_);
+
+  out->observed_.assign(n, false);
+  for (size_t d : coords) out->observed_[d] = true;
+  out->hidden_coords_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (!out->observed_[i]) out->hidden_coords_.push_back(i);
+  }
+  if (out->hidden_coords_.empty()) {
+    out->shifts_ = &shifts_;
+  } else {
+    // B: an orthonormal basis of the hidden columns W_M^T, built per
+    // sample (never cached per mask); then Q y and Q S.
+    PW_OBS_COUNTER_INC("detect.class.hidden_bases");
+    out->hidden_basis_.Assign(out->hidden_coords_.size(), k);
+    linalg::MutableMatrixView basis(out->hidden_basis_);
+    linalg::SelectRowsInto(w_, out->hidden_coords_, basis);
+    const size_t rank = linalg::OrthonormalizeRows(basis);
+    const linalg::ConstMatrixView q_basis = basis.Block(0, 0, rank, k);
+    linalg::ProjectOutRows(q_basis, out->y_);
+    out->projected_shifts_.Assign(num_cases(), k);
+    linalg::MutableMatrixView projected(out->projected_shifts_);
+    linalg::CopyInto(shifts_, projected);
+    for (size_t c = 0; c < num_cases(); ++c) {
+      linalg::ProjectOutRows(q_basis, projected.RowView(c));
+    }
+    out->shifts_ = &out->projected_shifts_;
   }
 
-  SubspaceModel model;
-  model.mean = std::move(mean);
-  model.singular_values = s;
-  // Deliberately a non-orthonormal coefficient matrix (see header).
-  model.constraints = Subspace::FromOrthonormal(std::move(whitened));
-  return model;
+  out->normal_ = linalg::SquaredNorm(out->y_);
+  out->cases_.Assign(num_cases());
+  for (size_t c = 0; c < num_cases(); ++c) {
+    out->cases_[c] = out->Residual(out->y_, c);
+  }
 }
 
 NodeSubspaces BuildNodeSubspaces(

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "linalg/matrix.h"
 #include "linalg/subspace.h"
+#include "linalg/views.h"
 #include "sim/measurement.h"
 
 namespace phasorwatch::detect {
@@ -62,21 +63,98 @@ struct SubspaceModel {
   double Proximity(const linalg::Vector& x) const;
 };
 
-/// Builds a whitened (LDA-style) classification model: the "constraint"
-/// matrix holds the reference model's full basis with each direction
-/// scaled by its inverse standard deviation (ridged at the bottom
-/// quartile of the spectrum), paired with `mean`. The proximity of a
-/// sample to such a model is the Mahalanobis distance under the shared
-/// reference covariance — the statistically efficient statistic for
-/// mean-shifted classes like line outages. Note the stored basis is
-/// intentionally NOT orthonormal; the proximity machinery treats it as
-/// a general coefficient matrix.
+/// Per-sample k-space state of a WhitenedClassFamily, filled by
+/// WhitenedClassFamily::Score. Reusable scratch: every buffer keeps its
+/// capacity, so a warmed scoring loop allocates nothing.
+class ClassScores {
+ public:
+  /// Q y: the sample's whitened, normal-centered coordinate with the
+  /// hidden directions projected out.
+  const linalg::Vector& y() const { return y_; }
+  /// ||Q y||^2 — the normal class residual.
+  double normal() const { return normal_; }
+  /// ||Q (y - S_c)||^2 for every trained case c.
+  const linalg::Vector& cases() const { return cases_; }
+  /// The smallest case residual (-1 when the family has no cases).
+  double BestCaseResidual() const;
+
+  /// Q S_c: case c's mean shift as seen through the observed
+  /// coordinates. Peeling composes hypotheses by subtracting these.
+  linalg::ConstVectorView Shift(size_t c) const;
+  /// ||Q S_c||^2 — the peeling normalizer of case c.
+  double ShiftEnergy(size_t c) const;
+  /// ||v - Q S_c||^2 for a k-space point v (e.g. a peeled Q y).
+  double Residual(linalg::ConstVectorView v, size_t c) const;
+
+ private:
+  friend class WhitenedClassFamily;
+
+  linalg::Vector y_;
+  double normal_ = 0.0;
+  linalg::Vector cases_;
+  /// The family's S (complete data) or projected_shifts_.
+  const linalg::Matrix* shifts_ = nullptr;
+  linalg::Matrix projected_shifts_;  ///< Q S, C x k (hidden samples)
+  linalg::Matrix hidden_basis_;      ///< B, orthonormal rows
+  std::vector<size_t> hidden_coords_;
+  std::vector<bool> observed_;
+};
+
+/// The whitened (LDA-style) line-class family behind gate 2 and
+/// localization: one shared whitened matrix W (n x k), the normal mean
+/// mu_n, and a C x n matrix of case means. W is the normal model's full
+/// basis with each direction scaled by its inverse standard deviation
+/// (ridged at the bottom quartile of the spectrum), so a class residual
+/// is the Mahalanobis distance under the shared normal covariance — the
+/// statistically efficient statistic for mean-shifted classes like line
+/// outages. The shift matrix S, with rows S_c = W^T (mu_c - mu_n), is
+/// derived on construction and never persisted.
 ///
-/// `reference` must carry a full basis; `num_samples` is the training
-/// sample count behind the reference spectrum.
-SubspaceModel MakeWhitenedClassModel(const SubspaceModel& reference,
-                                     linalg::Vector mean,
-                                     size_t num_samples);
+/// Every class residual is computed in k-space. A sample observed on
+/// coordinates D maps to y = W_D^T (x_D - mu_n,D) once; with B an
+/// orthonormal basis of the hidden columns W_M^T and Q = I - B B^T,
+/// case c's Eq. 9 residual is ||Q (y - S_c)||^2 (docs/MATH.md §4).
+/// Scoring takes no lock and caches nothing per coordinate set.
+class WhitenedClassFamily {
+ public:
+  WhitenedClassFamily() = default;
+
+  /// W from `reference`'s full basis and spectrum (it must carry a full
+  /// basis; `num_samples` is the training sample count behind the
+  /// spectrum), mu_n = reference.mean, and `case_means` (one row per
+  /// case).
+  static WhitenedClassFamily Make(const SubspaceModel& reference,
+                                  linalg::Matrix case_means,
+                                  size_t num_samples);
+
+  /// Restores a persisted family; rejects inconsistent shapes.
+  PW_NODISCARD static Result<WhitenedClassFamily> FromParts(
+      linalg::Matrix w, linalg::Vector normal_mean, linalg::Matrix case_means);
+
+  size_t ambient_dim() const { return w_.rows(); }
+  size_t dim() const { return w_.cols(); }
+  size_t num_cases() const { return case_means_.rows(); }
+  const linalg::Matrix& w() const { return w_; }
+  const linalg::Vector& normal_mean() const { return normal_mean_; }
+  const linalg::Matrix& case_means() const { return case_means_; }
+  /// S, C x k.
+  const linalg::Matrix& shifts() const { return shifts_; }
+
+  /// Scores `features`, trusting only `coords` (non-empty, distinct,
+  /// each < ambient_dim()), against the normal class and every case.
+  PW_NO_ALLOC void Score(const linalg::Vector& features,
+                         const std::vector<size_t>& coords,
+                         ClassScores* out) const;
+
+ private:
+  WhitenedClassFamily(linalg::Matrix w, linalg::Vector normal_mean,
+                      linalg::Matrix case_means);
+
+  linalg::Matrix w_;
+  linalg::Vector normal_mean_;
+  linalg::Matrix case_means_;
+  linalg::Matrix shifts_;
+};
 
 /// Extracts the configured channel's feature matrix (num_nodes x T).
 linalg::Matrix FeatureMatrix(const sim::PhasorDataSet& data,

@@ -1,5 +1,8 @@
 #include "linalg/views.h"
 
+#include <cmath>
+#include <utility>
+
 #include "common/check.h"
 
 namespace phasorwatch::linalg {
@@ -139,6 +142,116 @@ PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst) {
     const double* s = src.row(i);
     double* d = dst.row(i);
     for (size_t j = 0; j < src.cols(); ++j) d[j] = s[j];
+  }
+}
+
+PW_NO_ALLOC void SelectRowsInto(ConstMatrixView a,
+                                const std::vector<size_t>& rows,
+                                MutableMatrixView out) {
+  PW_CHECK_EQ(out.rows(), rows.size());
+  PW_CHECK_EQ(out.cols(), a.cols());
+  PW_CHECK(!ViewOverlaps(a, out.data(), OutSpan(out)));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double* src = a.row(rows[i]);
+    double* dst = out.row(i);
+    for (size_t j = 0; j < a.cols(); ++j) dst[j] = src[j];
+  }
+}
+
+PW_NO_ALLOC void CenteredRowSumInto(ConstMatrixView a,
+                                    const std::vector<size_t>& rows,
+                                    ConstVectorView x, ConstVectorView center,
+                                    VectorView out) {
+  PW_CHECK_EQ(out.size(), a.cols());
+  PW_CHECK_EQ(x.size(), a.rows());
+  PW_CHECK_EQ(center.size(), a.rows());
+  PW_CHECK(!ViewOverlaps(a, out.data(), out.size()));
+  out.Fill(0.0);
+  double* acc = out.data();
+  for (size_t r : rows) {
+    const double z = x[r] - center[r];
+    const double* a_row = a.row(r);
+    for (size_t j = 0; j < a.cols(); ++j) acc[j] += z * a_row[j];
+  }
+}
+
+namespace {
+
+double RowDot(const double* a, const double* b, size_t n) {
+  double sum = 0.0;
+  for (size_t j = 0; j < n; ++j) sum += a[j] * b[j];
+  return sum;
+}
+
+// a -= (a . q) q for a unit vector q.
+void RemoveComponent(const double* q, double* a, size_t n) {
+  const double dot = RowDot(a, q, n);
+  for (size_t j = 0; j < n; ++j) a[j] -= dot * q[j];
+}
+
+}  // namespace
+
+PW_NO_ALLOC void AxpyInto(double alpha, ConstVectorView x, VectorView y) {
+  PW_CHECK_EQ(x.size(), y.size());
+  const double* xs = x.data();
+  double* ys = y.data();
+  for (size_t i = 0; i < y.size(); ++i) ys[i] += alpha * xs[i];
+}
+
+PW_NO_ALLOC double SquaredNorm(ConstVectorView a) {
+  return RowDot(a.data(), a.data(), a.size());
+}
+
+PW_NO_ALLOC double SquaredDistance(ConstVectorView a, ConstVectorView b) {
+  PW_CHECK_EQ(a.size(), b.size());
+  const double* as = a.data();
+  const double* bs = b.data();
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double d = as[i] - bs[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+PW_NO_ALLOC size_t OrthonormalizeRows(MutableMatrixView a, double rcond) {
+  const size_t m = a.rows();
+  const size_t n = a.cols();
+  double first_norm = 0.0;
+  for (size_t j = 0; j < m; ++j) {
+    // Pivot: the remaining row with the largest norm.
+    size_t pivot = j;
+    double pivot_sq = -1.0;
+    for (size_t i = j; i < m; ++i) {
+      const double sq = RowDot(a.row(i), a.row(i), n);
+      if (sq > pivot_sq) {
+        pivot = i;
+        pivot_sq = sq;
+      }
+    }
+    double* q = a.row(j);
+    if (pivot != j) {
+      double* p = a.row(pivot);
+      for (size_t c = 0; c < n; ++c) std::swap(q[c], p[c]);
+    }
+    // Second Gram-Schmidt pass against the accepted rows: one
+    // re-orthogonalization restores orthogonality to working precision.
+    for (size_t p = 0; p < j; ++p) RemoveComponent(a.row(p), q, n);
+    const double norm = std::sqrt(RowDot(q, q, n));
+    if (j == 0) first_norm = norm;
+    if (!(norm > rcond * first_norm)) return j;
+    const double inv = 1.0 / norm;
+    for (size_t c = 0; c < n; ++c) q[c] *= inv;
+    for (size_t i = j + 1; i < m; ++i) RemoveComponent(q, a.row(i), n);
+  }
+  return m;
+}
+
+PW_NO_ALLOC void ProjectOutRows(ConstMatrixView basis, VectorView v) {
+  PW_CHECK_EQ(basis.cols(), v.size());
+  PW_CHECK(!ViewOverlaps(basis, v.data(), v.size()));
+  for (size_t r = 0; r < basis.rows(); ++r) {
+    RemoveComponent(basis.row(r), v.data(), v.size());
   }
 }
 

@@ -106,6 +106,8 @@ class ConstMatrixView {
     PW_CHECK_LT(c, cols_);
     return data_[r * stride_ + c];
   }
+  /// Row `r` as a vector view.
+  ConstVectorView RowView(size_t r) const { return {row(r), cols_}; }
 
   /// A rows x cols block starting at (r0, c0), sharing this view's data.
   ConstMatrixView Block(size_t r0, size_t c0, size_t rows, size_t cols) const {
@@ -149,6 +151,8 @@ class MutableMatrixView {
     PW_CHECK_LT(c, cols_);
     return data_[r * stride_ + c];
   }
+  /// Row `r` as a vector view.
+  VectorView RowView(size_t r) const { return {row(r), cols_}; }
 
   operator ConstMatrixView() const {  // NOLINT(google-explicit-constructor)
     return ConstMatrixView(data_, rows_, cols_, stride_);
@@ -214,6 +218,44 @@ PW_NO_ALLOC void SubtractInto(ConstMatrixView a, ConstMatrixView b, MutableMatri
 
 /// Copies src into dst (shapes must match; dst disjoint from src).
 PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst);
+
+/// out(i, :) = a(rows[i], :). out must be rows.size() x a.cols().
+PW_NO_ALLOC void SelectRowsInto(ConstMatrixView a,
+                                const std::vector<size_t>& rows,
+                                MutableMatrixView out);
+
+// --- small k-space kernels (whitened class scoring) --------------------
+
+/// out = A_R^T (x_R - center_R): the rows of `a` listed in `rows`,
+/// weighted by the centered sample entries at the same indices and
+/// summed. out.size() == a.cols(); x and center index like a's rows.
+PW_NO_ALLOC void CenteredRowSumInto(ConstMatrixView a,
+                                    const std::vector<size_t>& rows,
+                                    ConstVectorView x, ConstVectorView center,
+                                    VectorView out);
+
+/// y += alpha * x. Sizes must match.
+PW_NO_ALLOC void AxpyInto(double alpha, ConstVectorView x, VectorView y);
+
+/// ||a||^2.
+PW_NO_ALLOC double SquaredNorm(ConstVectorView a);
+
+/// ||a - b||^2. Sizes must match.
+PW_NO_ALLOC double SquaredDistance(ConstVectorView a, ConstVectorView b);
+
+/// Orthonormalizes the rows of `a` in place by modified Gram-Schmidt
+/// with row pivoting and one re-orthogonalization pass, and returns the
+/// rank r: rows [0, r) then hold an orthonormal basis of the original
+/// row space (rows [r, a.rows()) are left as scratch). Each step takes
+/// the remaining row of largest norm; once that norm falls to
+/// rcond times the first pivot's, the rest counts as dependent —
+/// the pivoted-QR form of PseudoInverse's singular-value cutoff.
+PW_NO_ALLOC size_t OrthonormalizeRows(MutableMatrixView a,
+                                      double rcond = 1e-10);
+
+/// v -= B^T (B v) for `basis` B with orthonormal rows: removes v's
+/// component in B's row space (v.size() == basis.cols()).
+PW_NO_ALLOC void ProjectOutRows(ConstMatrixView basis, VectorView v);
 
 }  // namespace phasorwatch::linalg
 

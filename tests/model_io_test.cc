@@ -104,7 +104,7 @@ TEST_F(ModelIoTest, SaveLoadRoundTripPreservesDecisions) {
 }
 
 TEST_F(ModelIoTest, MultiLineRoundTripPreservesOutageSets) {
-  // PWDET04 carries the multi-line options and the calibrated
+  // The model file carries the multi-line options and the calibrated
   // per-(candidate, anchor) peel thresholds; a reloaded detector must
   // peel bit-identically, not just gate identically.
   TrainingData training;
@@ -238,7 +238,7 @@ TEST_F(ModelIoTest, GarbageAfterValidHeaderReturnsStatus) {
   // first implausible field instead of trusting embedded lengths.
   std::stringstream buffer;
   BinaryWriter w(buffer);
-  w.WriteU64(0x5057444554303400ull);  // current magic ("PWDET04\0")
+  w.WriteU64(0x5057444554303500ull);  // current magic ("PWDET05\0")
   for (size_t i = 0; i < 4096; ++i) {
     buffer.put(static_cast<char>(i * 37 + 11));
   }
@@ -263,20 +263,25 @@ TEST_F(ModelIoTest, EmptyFileReturnsStatus) {
 }
 
 TEST_F(ModelIoTest, OldFormatVersionRejected) {
-  // PWDET03 files predate the multi-line identification options; they
-  // must be refused as unreadable, not misparsed into a detector with
-  // garbage options.
+  // PWDET04 files carry one whitened model per class and the per-line
+  // models; PWDET03 files predate the multi-line options. Both must be
+  // refused with a version error, not misparsed into a detector.
   std::stringstream buffer;
   ASSERT_TRUE(shared_->detector->Save(buffer).ok());
-  std::string full = buffer.str();
-  // The magic is a little-endian u64 of "PWDET04\0"; the version digit
-  // '4' lands at byte 1 of the stream.
-  ASSERT_EQ(full[1], '4');
-  full[1] = '3';
-  std::stringstream in(full);
-  auto loaded = OutageDetector::Load(in, shared_->grid, shared_->network);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  const std::string full = buffer.str();
+  // The magic is a little-endian u64 of "PWDET05\0"; the version digit
+  // '5' lands at byte 1 of the stream.
+  ASSERT_EQ(full[1], '5');
+  for (char old_version : {'4', '3'}) {
+    std::string old = full;
+    old[1] = old_version;
+    std::stringstream in(old);
+    auto loaded = OutageDetector::Load(in, shared_->grid, shared_->network);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(ModelIoTest, UntrainedDetectorRefusesToSave) {

@@ -1,5 +1,8 @@
 #include "linalg/views.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -146,6 +149,73 @@ TEST(ViewsTest, CopyIntoAndSubtractInto) {
       EXPECT_EQ(diff(r, c), a(r, c) - b(r, c));
     }
   }
+}
+
+TEST(ViewsTest, CenteredRowSumMatchesTransposedProduct) {
+  Rng rng(21);
+  Matrix a = RandomMatrix(7, 4, rng);
+  Vector x = RandomVector(7, rng);
+  Vector center = RandomVector(7, rng);
+  const std::vector<size_t> rows = {0, 2, 3, 6};
+  Vector out(4);
+  CenteredRowSumInto(a, rows, x, center, out);
+  for (size_t j = 0; j < 4; ++j) {
+    double want = 0.0;
+    for (size_t r : rows) want += a(r, j) * (x[r] - center[r]);
+    EXPECT_NEAR(out[j], want, 1e-14);
+  }
+}
+
+TEST(ViewsTest, VectorKernels) {
+  Vector a{1.0, -2.0, 3.0};
+  Vector b{0.5, 1.0, -1.0};
+  EXPECT_EQ(SquaredNorm(a), 14.0);
+  EXPECT_EQ(SquaredDistance(a, b), 0.25 + 9.0 + 16.0);
+  AxpyInto(-2.0, b, a);
+  EXPECT_EQ(a[0], 0.0);
+  EXPECT_EQ(a[1], -4.0);
+  EXPECT_EQ(a[2], 5.0);
+}
+
+TEST(ViewsTest, OrthonormalizeRowsSpansTheRowSpace) {
+  Rng rng(22);
+  Matrix original = RandomMatrix(5, 9, rng);
+  Matrix q = original;
+  ASSERT_EQ(OrthonormalizeRows(q), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 5; ++j) {
+      double dot = 0.0;
+      for (size_t c = 0; c < 9; ++c) dot += q(i, c) * q(j, c);
+      EXPECT_NEAR(dot, i == j ? 1.0 : 0.0, 1e-14);
+    }
+  }
+  // Every original row lies in the span: projecting it out leaves ~0.
+  for (size_t i = 0; i < 5; ++i) {
+    Vector row = original.Row(i);
+    ProjectOutRows(q, row);
+    EXPECT_LT(std::sqrt(SquaredNorm(row)), 1e-13);
+  }
+  // A vector off the span keeps exactly its orthogonal part.
+  Vector v = RandomVector(9, rng);
+  ProjectOutRows(q, v);
+  for (size_t i = 0; i < 5; ++i) {
+    double dot = 0.0;
+    for (size_t c = 0; c < 9; ++c) dot += q(i, c) * v[c];
+    EXPECT_NEAR(dot, 0.0, 1e-14);
+  }
+}
+
+TEST(ViewsTest, OrthonormalizeRowsDropsDependentRows) {
+  Rng rng(23);
+  Matrix a = RandomMatrix(4, 6, rng);
+  // Row 2 = row 0 + 2 row 1; row 3 is zero.
+  for (size_t c = 0; c < 6; ++c) {
+    a(2, c) = a(0, c) + 2.0 * a(1, c);
+    a(3, c) = 0.0;
+  }
+  EXPECT_EQ(OrthonormalizeRows(a), 2u);
+  Matrix zero(3, 4);
+  EXPECT_EQ(OrthonormalizeRows(zero), 0u);
 }
 
 TEST(ViewsTest, RangesOverlapDetection) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,24 @@ sim::PhasorDataSet AxisData(const Vector& mean, const Vector& sigma,
     }
   }
   return data;
+}
+
+// Complete-data class residual of x: against case `c` of the family, or
+// against the normal class when c == kNormal.
+constexpr size_t kNormal = static_cast<size_t>(-1);
+double ClassResidual(const WhitenedClassFamily& family, const Vector& x,
+                     size_t c) {
+  std::vector<size_t> all(x.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  ClassScores scores;
+  family.Score(x, all, &scores);
+  return c == kNormal ? scores.normal() : scores.cases()[c];
+}
+
+Matrix CaseMeans(const std::vector<Vector>& means) {
+  Matrix out(means.size(), means.front().size());
+  for (size_t c = 0; c < means.size(); ++c) out.SetRow(c, means[c]);
+  return out;
 }
 
 SubspaceModelOptions AngleFullOptions() {
@@ -59,15 +78,16 @@ TEST(WhitenedModelTest, MahalanobisScalesByVariance) {
   auto data = AxisData(mean, sigma, 2000, rng);
   auto reference = LearnSubspaceModel(data, AngleFullOptions());
   ASSERT_TRUE(reference.ok());
-  SubspaceModel cls =
-      MakeWhitenedClassModel(*reference, reference->mean, 2000);
+  WhitenedClassFamily family = WhitenedClassFamily::Make(
+      *reference, CaseMeans({reference->mean}), 2000);
   // A unit step along a high-variance axis costs far less than along a
   // low-variance axis.
   Vector high = reference->mean;
   high[0] += 0.1;
   Vector low = reference->mean;
   low[2] += 0.1;
-  EXPECT_GT(cls.Proximity(low), 20.0 * cls.Proximity(high));
+  EXPECT_GT(ClassResidual(family, low, kNormal),
+            20.0 * ClassResidual(family, high, kNormal));
 }
 
 TEST(WhitenedModelTest, ZeroAtItsMean) {
@@ -79,14 +99,16 @@ TEST(WhitenedModelTest, ZeroAtItsMean) {
   ASSERT_TRUE(reference.ok());
   Vector shifted = reference->mean;
   shifted[1] += 0.7;
-  SubspaceModel cls = MakeWhitenedClassModel(*reference, shifted, 500);
-  EXPECT_NEAR(cls.Proximity(shifted), 0.0, 1e-9);
-  EXPECT_GT(cls.Proximity(reference->mean), 1.0);
+  WhitenedClassFamily family =
+      WhitenedClassFamily::Make(*reference, CaseMeans({shifted}), 500);
+  EXPECT_NEAR(ClassResidual(family, shifted, 0), 0.0, 1e-9);
+  EXPECT_GT(ClassResidual(family, reference->mean, 0), 1.0);
+  EXPECT_NEAR(ClassResidual(family, reference->mean, kNormal), 0.0, 1e-9);
 }
 
 TEST(WhitenedModelTest, SharedCovarianceAcrossClassModels) {
-  // Two class models from the same reference must assign the same cost
-  // to the same displacement (LDA with shared covariance).
+  // Two classes of one family must assign the same cost to the same
+  // displacement (LDA with shared covariance).
   Rng rng(4);
   Vector mean(3);
   Vector sigma{0.1, 0.02, 0.01};
@@ -96,8 +118,8 @@ TEST(WhitenedModelTest, SharedCovarianceAcrossClassModels) {
   Vector mean_a = reference->mean;
   Vector mean_b = reference->mean;
   mean_b[0] += 1.0;
-  SubspaceModel a = MakeWhitenedClassModel(*reference, mean_a, 800);
-  SubspaceModel b = MakeWhitenedClassModel(*reference, mean_b, 800);
+  WhitenedClassFamily family =
+      WhitenedClassFamily::Make(*reference, CaseMeans({mean_a, mean_b}), 800);
   Vector displacement{0.03, -0.01, 0.02};
   Vector xa = mean_a;
   Vector xb = mean_b;
@@ -105,7 +127,8 @@ TEST(WhitenedModelTest, SharedCovarianceAcrossClassModels) {
     xa[i] += displacement[i];
     xb[i] += displacement[i];
   }
-  EXPECT_NEAR(a.Proximity(xa), b.Proximity(xb), 1e-9);
+  EXPECT_NEAR(ClassResidual(family, xa, 0), ClassResidual(family, xb, 1),
+              1e-9);
 }
 
 TEST(SubspaceFastPathTest, CovarianceAndSvdPathsAgree) {
